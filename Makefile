@@ -47,9 +47,11 @@ test:
 	$(GO) test ./...
 
 # Concurrency regression tests (dataplane, middlebox, openflow) need the
-# race detector to mean anything.
+# race detector to mean anything. The inline switch's flow cache against
+# concurrent rule churn runs ten times over: its races are timing-bound.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run '^TestSwitchProcessConcurrentRuleChurn$$' ./internal/openflow/
 
 # Discovery→deploy lifecycle suite under the race detector: the session
 # state machine, the locked deployserver (concurrent HandleDM / deploy /
@@ -59,12 +61,15 @@ test-race:
 	$(GO) test -race ./internal/discovery/ ./internal/deployserver/ ./internal/netsim/ ./cmd/pvnd/
 
 # A short seed-corpus + random fuzz pass over every parser that handles
-# untrusted bytes: the packet decoder, the DHT wire envelope, and the
-# distributed-store module manifest.
+# untrusted bytes: the packet decoder, the DHT wire envelope, the
+# distributed-store module manifest and the controller-channel codec;
+# plus the flow table's fast paths against their reference.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/packet/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeEnvelope -fuzztime=10s ./internal/overlay/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeModule -fuzztime=10s ./internal/store/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadMessage$$' -fuzztime=10s ./internal/openflow/
+	$(GO) test -run='^$$' -fuzz='^FuzzFlowTableAgainstReference$$' -fuzztime=10s ./internal/openflow/
 
 # The overlay determinism gate: the E16 table must be bit-identical
 # across runs under the race detector (DESIGN.md §12).

@@ -18,8 +18,8 @@
 //	    per-flow state (the exact-match flow cache) is owned by exactly one
 //	    worker — no locks on the hot path.
 //	  - Rule state lives in a ShardedTable: an atomically-published
-//	    copy-on-write snapshot written by the control plane
-//	    (sdncontroller/deployserver flow mods) and read lock-free by every
+//	    copy-on-write snapshot written by the control plane (deployserver
+//	    flow mods mirrored through ExtraRules) and read lock-free by every
 //	    worker.
 //	  - Workers pull fixed-size batches from their ring to amortize queue
 //	    synchronization, and recycle packet buffers through a sync.Pool.
@@ -35,6 +35,7 @@
 package dataplane
 
 import (
+	"encoding/binary"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -286,9 +287,16 @@ func (p *Pipeline) release(bp *[]byte) {
 }
 
 // flowKeyOf extracts the 5-tuple cache key from raw IPv4 bytes with a
-// minimal header parse (no full packet.Decode on the submit path). ok is
-// false for non-IPv4 or truncated packets; those all land on one shard
-// and skip the flow cache.
+// minimal header parse (no full packet.Decode on the submit path). ok
+// reports whether the key may stand for the packet in the flow cache: it
+// must equal what openflow.ExtractFields reads from the decoded packet,
+// or a packet the decoder reads differently (a bad header checksum, a
+// transport header cut short by the capture or by the IPv4 total length)
+// would share a cache slot with the flow's real packets and hand them
+// its verdict. So ok is true only when the decoder provably yields the
+// same addresses, protocol and ports: the IPv4 header passes the
+// decoder's checks, and a TCP or UDP header does too. Packets with ok
+// false still shard by whatever the key holds and are looked up uncached.
 func flowKeyOf(data []byte, inPort uint16) (cacheKey, bool) {
 	key := cacheKey{inPort: inPort}
 	if len(data) < 20 || data[0]>>4 != 4 {
@@ -298,14 +306,31 @@ func flowKeyOf(data []byte, inPort uint16) (cacheKey, bool) {
 	if ihl < 20 || len(data) < ihl {
 		return key, false
 	}
-	f := packet.Flow{Proto: data[9]}
-	copy(f.Src.Addr[:], data[12:16])
-	copy(f.Dst.Addr[:], data[16:20])
-	if (f.Proto == packet.IPProtoTCP || f.Proto == packet.IPProtoUDP) && len(data) >= ihl+4 {
-		f.Src.Port = uint16(data[ihl])<<8 | uint16(data[ihl+1])
-		f.Dst.Port = uint16(data[ihl+2])<<8 | uint16(data[ihl+3])
+	key.flow.Proto = data[9]
+	copy(key.flow.Src.Addr[:], data[12:16])
+	copy(key.flow.Dst.Addr[:], data[16:20])
+	total := int(binary.BigEndian.Uint16(data[2:4]))
+	if total < ihl || packet.Checksum(data[:ihl]) != 0 {
+		return key, false
 	}
-	key.flow = f
+	seg := data[ihl:min(total, len(data))]
+	switch key.flow.Proto {
+	case packet.IPProtoTCP:
+		if len(seg) < 20 {
+			return key, false
+		}
+		if off := int(seg[12]>>4) * 4; off < 20 || off > len(seg) {
+			return key, false
+		}
+	case packet.IPProtoUDP:
+		if len(seg) < 8 || binary.BigEndian.Uint16(seg[4:6]) < 8 {
+			return key, false
+		}
+	default:
+		return key, true
+	}
+	key.flow.Src.Port = binary.BigEndian.Uint16(seg[0:2])
+	key.flow.Dst.Port = binary.BigEndian.Uint16(seg[2:4])
 	return key, true
 }
 

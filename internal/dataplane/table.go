@@ -39,7 +39,8 @@ type snapshot struct {
 // ShardedTable is the dataplane's flow-state layer: a copy-on-write rule
 // snapshot shared by all shards, plus per-shard exact-match flow caches
 // (see flowCache) that each worker owns exclusively. Rule updates from
-// the control plane (sdncontroller flow mods, deployserver installs)
+// the control plane (deployserver flow mods, which cmd/pvnd mirrors in
+// through deployserver.Config.ExtraRules, and direct Install calls)
 // serialize on a writer mutex and publish a new snapshot atomically;
 // in-flight lookups keep using the old generation until their next
 // packet.
@@ -195,11 +196,17 @@ type cacheKey struct {
 // flowCache is a per-shard exact-match fast path over the shared rule
 // snapshot, in the spirit of OVS's flow cache. It is owned by exactly
 // one worker goroutine and therefore needs no lock; a generation bump
-// (any rule update or expiry) invalidates it wholesale.
+// (any rule update or expiry) invalidates it wholesale, and so does
+// filling up to maxCachedFlows, so a scan over many distinct 5-tuples
+// cannot grow it without bound.
 type flowCache struct {
 	gen uint64
 	m   map[cacheKey]*entry
 }
+
+// maxCachedFlows caps one shard's flowCache (the same cap as
+// openflow.FlowCache's).
+const maxCachedFlows = 1 << 16
 
 func newFlowCache() *flowCache { return &flowCache{m: make(map[cacheKey]*entry)} }
 
@@ -248,6 +255,9 @@ func (t *ShardedTable) LookupScan(c *flowCache, key cacheKey, cacheable bool, fi
 		if e.Match.Matches(fields) {
 			e.count(size, now)
 			if cacheable {
+				if len(c.m) >= maxCachedFlows {
+					clear(c.m)
+				}
 				c.m[key] = e
 			}
 			return e.Actions

@@ -100,7 +100,7 @@ func E11(p E11Params) *Result {
 	}
 
 	if isWallclock(p.Timing) {
-		res.Findingf("per-packet cost grows with table size (linear-scan switch); the dominant term is the user's own middlebox chain")
+		res.Findingf("per-packet cost stays flat as the table grows (expiry floor + exact-match flow cache); the dominant term is the user's own middlebox chain")
 	} else {
 		res.Findingf("simclock timing: per-packet cost cells are synthetic placeholders; run pvnbench -wallclock for measured costs")
 	}

@@ -98,6 +98,10 @@ type Switch struct {
 
 	// Counters.
 	RxPackets, Dropped, PacketIns int64
+
+	// cache memoizes Table lookups by packet fields; it notices a
+	// reassigned Table on its own.
+	cache FlowCache
 }
 
 // NewSwitch returns a switch with an empty table and meter bank. now may
@@ -119,7 +123,8 @@ func (s *Switch) AddMeter(id string, m *Meter) { s.Meters[id] = m }
 func (s *Switch) RemoveMeter(id string) { delete(s.Meters, id) }
 
 // Process runs one packet (raw IPv4 bytes) through the pipeline and
-// returns its disposition.
+// returns its disposition. A Switch processes one packet at a time: call
+// Process from one goroutine (rule writes may come from any).
 func (s *Switch) Process(data []byte, inPort uint16) Disposition {
 	s.RxPackets++
 	now := s.Now()
@@ -131,7 +136,7 @@ func (s *Switch) Process(data []byte, inPort uint16) Disposition {
 
 	pkt := packet.Decode(data, packet.LayerTypeIPv4)
 	fields := ExtractFields(pkt, inPort)
-	actions, entry := s.Table.Lookup(fields, len(data), now)
+	actions, entry := s.Table.LookupCached(&s.cache, fields, len(data), now)
 
 	d := Disposition{Data: data, Entry: entry}
 	for _, a := range actions {
